@@ -1,53 +1,22 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! The `rr-bench` crate regenerates every table and figure of the paper:
+//! The paper's figure sweeps are `rr` subcommands; this crate regenerates
+//! the remaining tables and experiments:
 //!
 //! | target | regenerates |
 //! |---|---|
-//! | `cargo run --release --bin fig5` | Figure 5 (cache faults, 3 panels) |
-//! | `cargo run --release --bin fig6` | Figure 6 (synchronization faults) |
+//! | `cargo run --release --bin rr -- fig5` | Figure 5 (cache faults, 3 panels) |
+//! | `cargo run --release --bin rr -- fig6` | Figure 6 (synchronization faults) |
 //! | `cargo run --release --bin fig6a_ablation` | section 3.3's low-cost-allocation rerun |
-//! | `cargo run --release --bin homogeneous` | section 3.4's C = 8 / C = 16 experiments |
+//! | `cargo run --release --bin rr -- homogeneous --file <F> --context <C>` | section 3.4's C = 8 / C = 16 experiments |
 //! | `cargo run --release --bin table_costs` | Figure 4's cost table, measured on the ISA machine |
 //! | `cargo run --release --bin model_check` | section 3.4's analytical model vs simulation |
 //! | `cargo run --release --bin adaptive` | section 5.2's adaptive context limiting |
 //! | `cargo bench` | Criterion micro/meso benchmarks of the implementation itself |
 
-use register_relocation::cache;
-use register_relocation::figures::FigurePoint;
-use rr_store::Store;
-
-/// Emits a figure panel in both human-readable and JSONL forms.
-pub fn emit_panel(title: &str, points: &[FigurePoint]) {
-    println!("{}", register_relocation::report::format_panel(title, points));
-    if std::env::args().any(|a| a == "--json") {
-        println!("{}", register_relocation::report::format_jsonl(points));
-    }
-}
-
 /// Standard seed for the published tables (override with `RR_SEED`).
 pub fn seed() -> u64 {
     std::env::var("RR_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1993)
-}
-
-/// The result store the sweep binaries should attach, resolved from
-/// `--store [dir]` / `--no-store` on the command line and the `RR_STORE`
-/// environment variable (see [`cache::store_dir_from_args`]). A store that
-/// fails to open degrades to running without one, with a warning — figure
-/// regeneration must never die over a cache.
-pub fn store() -> Option<Store> {
-    let args: Vec<String> = std::env::args().collect();
-    let dir = cache::store_dir_from_args(&args)?;
-    match cache::open_store(&dir) {
-        Ok(store) => Some(store),
-        Err(e) => {
-            eprintln!(
-                "warning: cannot open result store at `{}`: {e}; running uncached",
-                dir.display()
-            );
-            None
-        }
-    }
 }
 
 /// Sweep worker count: `--jobs <n>` on the command line, else the `RR_JOBS`

@@ -3,6 +3,7 @@
 use crate::figures::FigurePoint;
 use crate::sweep::SweepRun;
 use crate::trace::{TracedArchRun, TracedPoint};
+use rr_sim::SimStats;
 
 /// Renders one figure panel as an aligned text table: one row block per run
 /// length, columns per latency, with fixed/flexible efficiencies and their
@@ -99,6 +100,16 @@ pub fn format_trace_point(point: &TracedPoint) -> String {
         format!("{:.3}", f.stats.efficiency()),
         format!("{:.3}", x.stats.efficiency()),
     ));
+    // The cycles the steady-state efficiency was measured over, so a
+    // printed figure traces back to its window.
+    let window = |stats: &SimStats| match stats.window {
+        Some(w) => (format!("{}..{}", w.t1, w.t2), format!("{}", w.b2 - w.b1)),
+        None => ("full run".to_string(), stats.busy_cycles.to_string()),
+    };
+    let (f_cycles, f_busy) = window(&f.stats);
+    let (x_cycles, x_busy) = window(&x.stats);
+    out.push_str(&row("window cycles", f_cycles, x_cycles));
+    out.push_str(&row("window busy", f_busy, x_busy));
     out.push_str(&row(
         "avg resident",
         format!("{:.2}", f.stats.avg_resident),
@@ -221,6 +232,15 @@ mod tests {
         assert!(s.contains("F=64 R=16 L=100"), "{s}");
         assert!(s.contains("fixed") && s.contains("flexible"), "{s}");
         assert!(s.contains("efficiency"), "{s}");
+        // Each leg's resolved window: its cycles and busy delta reproduce
+        // the printed efficiency.
+        for leg in [&point.fixed, &point.flexible] {
+            let w = leg.stats.window.expect("a full trace places a window");
+            assert!(s.contains(&format!("{}..{}", w.t1, w.t2)), "{s}");
+            assert!(s.contains(&format!("{}", w.b2 - w.b1)), "{s}");
+            let eff = (w.b2 - w.b1) as f64 / (w.t2 - w.t1) as f64;
+            assert_eq!(eff.to_bits(), leg.stats.efficiency().to_bits());
+        }
         assert!(s.contains("windows:"), "{s}");
         let sparklines: Vec<&str> =
             s.lines().filter(|l| l.contains('|')).collect();
@@ -230,7 +250,6 @@ mod tests {
     #[test]
     fn sweep_summary_names_the_bottleneck() {
         use crate::sweep::{CacheSummary, PointReport, SweepReport, SWEEP_SCHEMA_VERSION};
-        use rr_sim::SimStats;
 
         let slow = PointReport {
             schema_version: SWEEP_SCHEMA_VERSION,

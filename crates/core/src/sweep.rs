@@ -82,7 +82,10 @@ use rr_workload::ContextSizeDist;
 /// [`SweepReport::from_json`] and the cache decode path refuse other
 /// versions, and the store salt folds this constant in so stored points
 /// from older schemas are never even looked up.
-pub const SWEEP_SCHEMA_VERSION: u32 = 2;
+///
+/// Version 3: each leg's `SimStats` carries its resolved efficiency
+/// `window` instead of the whole checkpoint series and completion list.
+pub const SWEEP_SCHEMA_VERSION: u32 = 3;
 
 /// Which fault process a grid's latency axis parameterizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

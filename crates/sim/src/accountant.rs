@@ -4,8 +4,8 @@
 //! *per-run* check: it can tell you a cycle went missing, not where. The
 //! [`EventAccountant`] strengthens it to a *per-event* check by replaying a
 //! run's [`Event`] stream through the same bookkeeping the engine performs —
-//! bucket sums, the resident-context integral, checkpoint recording with
-//! reservoir decimation — and verifying two things:
+//! bucket sums, the resident-context integral, the busy-cycle series behind
+//! the steady-state efficiency window — and verifying two things:
 //!
 //! 1. **Contiguity**: every [`EventKind::Charge`] must be stamped exactly
 //!    where the previous charge ended. A gap or overlap pinpoints the first
@@ -21,7 +21,7 @@
 
 use rr_runtime::{CostBucket, Event, EventKind};
 
-use crate::stats::{decimate_checkpoints, SimStats};
+use crate::stats::{BusySeries, SimStats};
 
 /// Replays an event stream into a derived [`SimStats`].
 ///
@@ -55,10 +55,10 @@ pub struct EventAccountant {
     now: u64,
     stats: SimStats,
     resident_integral: u128,
-    next_checkpoint: u64,
-    checkpoint_interval: u64,
-    checkpoint_cap: usize,
-    checkpoint_stride: u64,
+    /// The same busy series the engine samples, from `RunStart`'s
+    /// parameters.
+    series: BusySeries,
+    transient_trim: f64,
 }
 
 impl EventAccountant {
@@ -104,11 +104,8 @@ impl EventAccountant {
                     return Err("duplicate RunStart".into());
                 }
                 self.started = true;
-                self.stats.transient_trim = transient_trim;
-                self.checkpoint_interval = checkpoint_interval;
-                self.checkpoint_cap = checkpoint_cap;
-                self.checkpoint_stride = 1;
-                self.next_checkpoint = checkpoint_interval;
+                self.series = BusySeries::new(checkpoint_interval, checkpoint_cap);
+                self.transient_trim = transient_trim;
                 Ok(())
             }
             _ if !self.started => {
@@ -139,14 +136,7 @@ impl EventAccountant {
                     CostBucket::Queue => &mut b.queue_cycles,
                     CostBucket::Idle => &mut b.idle_cycles,
                 } += cycles;
-                while self.now >= self.next_checkpoint {
-                    self.stats.checkpoints.push((self.now, self.stats.busy_cycles));
-                    self.next_checkpoint += self.checkpoint_interval * self.checkpoint_stride;
-                    if self.stats.checkpoints.len() >= self.checkpoint_cap {
-                        decimate_checkpoints(&mut self.stats.checkpoints);
-                        self.checkpoint_stride *= 2;
-                    }
-                }
+                self.series.record(self.now, self.stats.busy_cycles);
                 Ok(())
             }
             EventKind::Fault { thread: _, latency: _, wake } => {
@@ -176,9 +166,8 @@ impl EventAccountant {
                 self.stats.unloads += 1;
                 Ok(())
             }
-            EventKind::ThreadComplete { thread } => {
+            EventKind::ThreadComplete { .. } => {
                 self.stats.completed_threads += 1;
-                self.stats.completions.push((thread, event.cycle));
                 Ok(())
             }
             EventKind::RunEnd { total_cycles, supply_drained_at } => {
@@ -191,6 +180,8 @@ impl EventAccountant {
                 self.ended = true;
                 self.stats.total_cycles = total_cycles;
                 self.stats.supply_drained_at = supply_drained_at;
+                self.stats.window =
+                    self.series.resolve(total_cycles, self.transient_trim, supply_drained_at);
                 Ok(())
             }
             // Pure annotations: no bucket or counter of their own (the
@@ -324,31 +315,34 @@ mod tests {
     #[test]
     fn accountant_decimates_checkpoints_like_the_engine() {
         // A tiny cap forces decimation in both the engine and the replay;
-        // equality then proves the accountant's reservoir matches.
-        let w = WorkloadBuilder::new()
-            .threads(8)
-            .work_per_thread(20_000)
-            .seed(3)
-            .build()
+        // equal windows then prove the accountant's reservoir matches, and
+        // the window differing from an undecimated run's proves the cap bit.
+        let run = |checkpoint_cap: usize| {
+            let w = WorkloadBuilder::new()
+                .threads(8)
+                .work_per_thread(20_000)
+                .seed(3)
+                .build()
+                .unwrap();
+            let opts = SimOptions {
+                checkpoint_interval: 64,
+                checkpoint_cap,
+                ..SimOptions::cache_experiments()
+            };
+            let engine = Engine::with_sink(
+                BitmapAllocator::new(128).unwrap(),
+                SchedCosts::cache_experiments(),
+                UnloadPolicyKind::Never,
+                w,
+                opts,
+                RecordingSink::new(),
+            )
             .unwrap();
-        let opts = SimOptions {
-            checkpoint_interval: 64,
-            checkpoint_cap: 16,
-            ..SimOptions::cache_experiments()
+            let (stats, sink) = engine.run_with_sink();
+            let derived = EventAccountant::replay(sink.events()).unwrap();
+            assert_eq!(derived, stats);
+            stats.window.expect("a long run places a window")
         };
-        let engine = Engine::with_sink(
-            BitmapAllocator::new(128).unwrap(),
-            SchedCosts::cache_experiments(),
-            UnloadPolicyKind::Never,
-            w,
-            opts,
-            RecordingSink::new(),
-        )
-        .unwrap();
-        let (stats, sink) = engine.run_with_sink();
-        assert!(stats.checkpoints.len() < 16, "cap respected: {}", stats.checkpoints.len());
-        let derived = EventAccountant::replay(sink.events()).unwrap();
-        assert_eq!(derived.checkpoints, stats.checkpoints);
-        assert_eq!(derived, stats);
+        assert_ne!(run(16), run(65_536), "a cap of 16 coarsens the window edges");
     }
 }

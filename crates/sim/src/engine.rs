@@ -23,7 +23,7 @@ use rr_workload::Workload;
 
 use crate::options::SimOptions;
 use crate::snapshot::{EngineSnapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};
-use crate::stats::{decimate_checkpoints, SimStats};
+use crate::stats::{BusySeries, SimStats};
 use crate::thread::{Phase, ThreadArena};
 use crate::timer::TimerRing;
 
@@ -91,10 +91,9 @@ pub struct Engine<S: EventSink = NullSink> {
     /// `SimStats` fields when the run ends.
     cost: [u64; 9],
     resident_integral: u128,
-    next_checkpoint: u64,
-    /// Multiplier on `checkpoint_interval`, doubled at each decimation of
-    /// the checkpoint reservoir.
-    checkpoint_stride: u64,
+    /// `(cycle, cumulative busy)` samples, resolved into the steady-state
+    /// window when the run ends.
+    series: BusySeries,
     /// Last cycle at which the supply queue held a runnable thread.
     last_pressure: u64,
     /// Whether the run has begun (`RunStart` emitted). Restored engines
@@ -165,8 +164,7 @@ impl<S: EventSink> Engine<S> {
         let supply = (0..arena.len()).collect();
         let rng = SmallRng::seed_from_u64(workload.seed);
         let timers = TimerRing::for_mean_latency(workload.latency.mean());
-        let checkpoint = opts.checkpoint_interval;
-        let trim = opts.transient_trim;
+        let series = BusySeries::new(opts.checkpoint_interval, opts.checkpoint_cap);
         Ok(Engine {
             alloc_costs: alloc.costs(),
             alloc,
@@ -182,11 +180,10 @@ impl<S: EventSink> Engine<S> {
             timers,
             alloc_blocked_for: None,
             now: 0,
-            stats: SimStats { transient_trim: trim, ..SimStats::default() },
+            stats: SimStats::default(),
             cost: [0; 9],
             resident_integral: 0,
-            next_checkpoint: checkpoint,
-            checkpoint_stride: 1,
+            series,
             last_pressure: 0,
             started: false,
             sink,
@@ -266,8 +263,9 @@ impl<S: EventSink> Engine<S> {
     }
 
     /// Finalizes a run [`Engine::advance`] reported as over: folds the cost
-    /// accumulators into the named statistics fields, emits `RunEnd`, and
-    /// hands back the statistics with the sink.
+    /// accumulators into the named statistics fields, resolves the
+    /// steady-state efficiency window, emits `RunEnd`, and hands back the
+    /// statistics with the sink.
     pub fn finish(mut self) -> (SimStats, S) {
         let [busy, switch, spin, alloc, dealloc, load, unload, queue, idle] = self.cost;
         self.stats.busy_cycles = busy;
@@ -294,6 +292,11 @@ impl<S: EventSink> Engine<S> {
         } else {
             None
         };
+        self.stats.window = self.series.resolve(
+            self.now,
+            self.opts.transient_trim,
+            self.stats.supply_drained_at,
+        );
         self.emit(EventKind::RunEnd {
             total_cycles: self.stats.total_cycles,
             supply_drained_at: self.stats.supply_drained_at,
@@ -361,8 +364,7 @@ impl<S: EventSink> Engine<S> {
             cost: self.cost,
             resident_integral_hi: (self.resident_integral >> 64) as u64,
             resident_integral_lo: self.resident_integral as u64,
-            next_checkpoint: self.next_checkpoint,
-            checkpoint_stride: self.checkpoint_stride,
+            series: self.series.clone(),
             last_pressure: self.last_pressure,
             started: self.started,
         }
@@ -407,8 +409,7 @@ impl<S: EventSink> Engine<S> {
             cost: snap.cost,
             resident_integral: (u128::from(snap.resident_integral_hi) << 64)
                 | u128::from(snap.resident_integral_lo),
-            next_checkpoint: snap.next_checkpoint,
-            checkpoint_stride: snap.checkpoint_stride,
+            series: snap.series.clone(),
             last_pressure: snap.last_pressure,
             started: snap.started,
             sink,
@@ -447,14 +448,7 @@ impl<S: EventSink> Engine<S> {
         // Branchless: `CostBucket`'s discriminants are its `SimStats`
         // declaration order, so the bucket is the index.
         self.cost[bucket as usize] += dt;
-        while self.now >= self.next_checkpoint {
-            self.stats.checkpoints.push((self.now, self.cost[CostBucket::Busy as usize]));
-            self.next_checkpoint += self.opts.checkpoint_interval * self.checkpoint_stride;
-            if self.stats.checkpoints.len() >= self.opts.checkpoint_cap {
-                decimate_checkpoints(&mut self.stats.checkpoints);
-                self.checkpoint_stride *= 2;
-            }
-        }
+        self.series.record(self.now, self.cost[CostBucket::Busy as usize]);
     }
 
     /// Applies every fault completion that has come due.
@@ -658,7 +652,6 @@ impl<S: EventSink> Engine<S> {
         self.governor.clear(tid);
         self.arena.phase[tid] = Phase::Done;
         self.stats.completed_threads += 1;
-        self.stats.completions.push((tid, self.now));
         self.emit(EventKind::ThreadComplete { thread: tid });
     }
 
@@ -684,6 +677,7 @@ impl<S: EventSink> Engine<S> {
 mod tests {
     use super::*;
     use rr_alloc::{BitmapAllocator, FixedSlots};
+    use rr_runtime::RecordingSink;
     use rr_workload::{ContextSizeDist, Dist, WorkloadBuilder};
 
     fn flexible(file: u32) -> AnyAllocator {
@@ -694,13 +688,14 @@ mod tests {
         FixedSlots::new(file).unwrap().into()
     }
 
-    fn cache_engine(
+    fn cache_engine_with_sink<S: EventSink>(
         alloc: AnyAllocator,
         threads: usize,
         r: f64,
         l: u64,
         work: u64,
-    ) -> Engine {
+        sink: S,
+    ) -> Engine<S> {
         let w = WorkloadBuilder::new()
             .threads(threads)
             .run_length(Dist::Geometric { mean: r })
@@ -710,14 +705,19 @@ mod tests {
             .seed(42)
             .build()
             .unwrap();
-        Engine::new(
+        Engine::with_sink(
             alloc,
             SchedCosts::cache_experiments(),
             UnloadPolicyKind::Never,
             w,
             SimOptions::cache_experiments(),
+            sink,
         )
         .unwrap()
+    }
+
+    fn cache_engine(alloc: AnyAllocator, threads: usize, r: f64, l: u64, work: u64) -> Engine {
+        cache_engine_with_sink(alloc, threads, r, l, work, NullSink)
     }
 
     #[test]
@@ -851,13 +851,24 @@ mod tests {
 
     #[test]
     fn completions_are_recorded_and_spread_fairly() {
-        let stats = cache_engine(flexible(128), 16, 16.0, 100, 5_000).run();
-        assert_eq!(stats.completions.len(), 16);
-        let mut tids: Vec<usize> = stats.completions.iter().map(|&(t, _)| t).collect();
+        let (stats, sink) =
+            cache_engine_with_sink(flexible(128), 16, 16.0, 100, 5_000, RecordingSink::new())
+                .run_with_sink();
+        let completions: Vec<(usize, u64)> = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::ThreadComplete { thread } => Some((thread, e.cycle)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(completions.len(), 16);
+        assert_eq!(stats.completed_threads, 16);
+        let mut tids: Vec<usize> = completions.iter().map(|&(t, _)| t).collect();
         tids.sort_unstable();
         assert_eq!(tids, (0..16).collect::<Vec<_>>(), "each thread completes once");
         // Cycles are nondecreasing in completion order and end the run.
-        let cycles: Vec<u64> = stats.completions.iter().map(|&(_, c)| c).collect();
+        let cycles: Vec<u64> = completions.iter().map(|&(_, c)| c).collect();
         assert!(cycles.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(*cycles.last().unwrap(), stats.total_cycles);
         // Round-robin with equal work: concurrent threads finish within a

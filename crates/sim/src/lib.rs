@@ -64,7 +64,7 @@ pub use interference::InterferenceModel;
 pub use metrics::{HistBucket, LogHistogram, MetricsReport, MetricsWindow};
 pub use options::{DispatchMode, SimOptions};
 pub use snapshot::{EngineSnapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};
-pub use stats::{decimate_checkpoints, SimStats};
+pub use stats::{EfficiencyWindow, SimStats};
 pub use timer::TimerRing;
 pub use trace_export::chrome_trace_json;
 

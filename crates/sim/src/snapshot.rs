@@ -21,12 +21,15 @@ use rr_runtime::{ReadyRing, SchedCosts, UnloadGovernor};
 use rr_workload::Workload;
 
 use crate::options::SimOptions;
-use crate::stats::SimStats;
+use crate::stats::{BusySeries, SimStats};
 use crate::thread::ThreadArena;
 
 /// Version of the [`EngineSnapshot`] record layout. Bump on any field
 /// change; restore rejects other versions rather than misinterpreting them.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 1;
+///
+/// Version 2: the busy-cycle series moved out of `stats` into `series`,
+/// replacing the `next_checkpoint`/`checkpoint_stride` cursor fields.
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 2;
 
 /// Why a snapshot could not be restored. Every variant is a signal to
 /// degrade to recompute-from-zero, never a reason to crash.
@@ -114,7 +117,8 @@ pub struct EngineSnapshot {
     pub alloc_blocked_for: Option<usize>,
     /// Current cycle.
     pub now: u64,
-    /// Statistics accumulated so far.
+    /// Statistics accumulated so far (the efficiency window is resolved
+    /// only when the run ends).
     pub stats: SimStats,
     /// Per-bucket cycle accumulators (folded into `stats` at finish).
     pub cost: [u64; 9],
@@ -122,10 +126,9 @@ pub struct EngineSnapshot {
     pub resident_integral_hi: u64,
     /// Low 64 bits of the residency integral.
     pub resident_integral_lo: u64,
-    /// Next busy-cycle checkpoint boundary.
-    pub next_checkpoint: u64,
-    /// Current checkpoint decimation stride.
-    pub checkpoint_stride: u64,
+    /// The busy-cycle samples taken so far, with the reservoir's spacing
+    /// and next boundary: the run's only copy of the series.
+    pub(crate) series: BusySeries,
     /// Last cycle at which the supply queue held a runnable thread.
     pub last_pressure: u64,
     /// Whether `RunStart` has been emitted.
@@ -241,8 +244,8 @@ impl EngineSnapshot {
                 return Err(format!("alloc_blocked_for references thread {tid} of {n}"));
             }
         }
-        if self.checkpoint_stride == 0 {
-            return Err("checkpoint stride of zero".to_string());
+        if !self.series.is_valid() {
+            return Err("busy series has a zero step or a cap below 2".to_string());
         }
         self.opts.validate()?;
         Ok(())

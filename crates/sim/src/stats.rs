@@ -64,16 +64,28 @@ pub struct SimStats {
     /// Time-averaged resident contexts.
     pub avg_resident: f64,
 
-    /// (cycle, cumulative busy) checkpoints for transient exclusion.
-    pub checkpoints: Vec<(u64, u64)>,
-    /// Fraction trimmed from each end for the steady-state window.
-    pub transient_trim: f64,
     /// The last cycle at which the software thread queue held work. After
     /// this point the machine is draining its final residents — the
     /// "completion effects" the paper excludes from its statistics.
     pub supply_drained_at: Option<u64>,
-    /// `(thread id, cycle)` completion records, in completion order.
-    pub completions: Vec<(usize, u64)>,
+    /// The steady-state window [`Self::efficiency`] measures, resolved when
+    /// the run ends; `None` when the run was too short to place one.
+    pub window: Option<EfficiencyWindow>,
+}
+
+/// The two `(cycle, cumulative busy)` samples that bound the steady-state
+/// window: everything [`SimStats::efficiency`] reads of the run's busy
+/// series.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct EfficiencyWindow {
+    /// First cycle of the window.
+    pub t1: u64,
+    /// Cumulative busy cycles at `t1`.
+    pub b1: u64,
+    /// Last cycle of the window (always after `t1`).
+    pub t2: u64,
+    /// Cumulative busy cycles at `t2`.
+    pub b2: u64,
 }
 
 impl SimStats {
@@ -102,28 +114,13 @@ impl SimStats {
     /// Steady-state efficiency over the middle of the run, excluding
     /// startup and completion transients (the paper's methodology; its
     /// footnote notes full-run statistics "differed only slightly", which
-    /// [`Self::efficiency_full`] lets callers confirm).
-    ///
-    /// The window runs from `transient_trim` of the way in until the
-    /// earlier of `1 - transient_trim` and the point where the thread
-    /// supply drained (after which residency thins out as the final
-    /// threads complete). Degenerate windows fall back to the full-run
-    /// figure.
+    /// [`Self::efficiency_full`] lets callers confirm): busy cycles over
+    /// all cycles inside [`Self::window`]. Runs without a window fall back
+    /// to the full-run figure.
     pub fn efficiency(&self) -> f64 {
-        let t = self.total_cycles;
-        if t == 0 {
-            return 0.0;
-        }
-        let lo_target = (t as f64 * self.transient_trim) as u64;
-        let hi_target = ((t as f64 * (1.0 - self.transient_trim)) as u64)
-            .min(self.supply_drained_at.unwrap_or(t));
-        let lo = self.checkpoints.iter().find(|(c, _)| *c >= lo_target);
-        let hi = self.checkpoints.iter().rev().find(|(c, _)| *c <= hi_target);
-        match (lo, hi) {
-            (Some(&(t1, b1)), Some(&(t2, b2))) if t2 > t1 => {
-                (b2 - b1) as f64 / (t2 - t1) as f64
-            }
-            _ => self.efficiency_full(),
+        match self.window {
+            Some(w) => (w.b2 - w.b1) as f64 / (w.t2 - w.t1) as f64,
+            None => self.efficiency_full(),
         }
     }
 
@@ -134,43 +131,112 @@ impl SimStats {
     }
 }
 
-/// One decimation step of the checkpoint reservoir: drops every second
-/// checkpoint (keeping indices 0, 2, 4, …), halving the stored count while
-/// preserving even temporal coverage. The engine calls this whenever the
-/// vector reaches `SimOptions::checkpoint_cap` and doubles its recording
-/// stride, so memory stays bounded on arbitrarily long horizons.
+/// The run's `(cycle, cumulative busy)` samples, kept only while the run
+/// is live: a sample every `checkpoint_interval` cycles, in a reservoir of
+/// at most `checkpoint_cap` samples. When the reservoir fills, every second
+/// sample is dropped (keeping indices 0, 2, 4, …) and the spacing doubles,
+/// so memory stays bounded on arbitrarily long horizons while coverage
+/// stays even.
 ///
-/// Because `(cycle, cumulative busy)` pairs are *cumulative*, any surviving
-/// pair is still exact — decimation only coarsens the granularity at which
-/// [`SimStats::efficiency`] can place its window edges, it never biases the
-/// busy-cycle deltas between them.
-pub fn decimate_checkpoints(checkpoints: &mut Vec<(u64, u64)>) {
-    let mut i = 0usize;
-    checkpoints.retain(|_| {
-        let keep = i.is_multiple_of(2);
-        i += 1;
-        keep
-    });
+/// Because the pairs are *cumulative*, any surviving sample is still exact
+/// — decimation only coarsens where [`BusySeries::resolve`] can place the
+/// window edges, it never biases the busy-cycle deltas between them.
+///
+/// The engine records into one as it charges cycles and the
+/// [`crate::EventAccountant`] into another as it replays charges, so both
+/// resolve the same window; an [`crate::EngineSnapshot`] carries it so a
+/// resumed run continues the same series.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub(crate) struct BusySeries {
+    /// Reservoir capacity; reaching it triggers a decimation.
+    cap: usize,
+    /// Cycles between samples: `checkpoint_interval`, doubled at each
+    /// decimation.
+    step: u64,
+    /// The cycle at or after which the next sample is taken.
+    next: u64,
+    /// `(cycle, cumulative busy)` samples, in cycle order.
+    samples: Vec<(u64, u64)>,
+}
+
+impl BusySeries {
+    /// An empty series sampling every `interval` cycles into at most `cap`
+    /// samples.
+    pub(crate) fn new(interval: u64, cap: usize) -> Self {
+        BusySeries { cap, step: interval, next: interval, samples: Vec::new() }
+    }
+
+    /// Records the cumulative busy count after a charge that brought the
+    /// clock to `now`, taking every sample whose boundary the charge crossed.
+    #[inline]
+    pub(crate) fn record(&mut self, now: u64, busy: u64) {
+        while now >= self.next {
+            self.samples.push((now, busy));
+            self.next += self.step;
+            if self.samples.len() >= self.cap {
+                let mut i = 0usize;
+                self.samples.retain(|_| {
+                    let keep = i.is_multiple_of(2);
+                    i += 1;
+                    keep
+                });
+                self.step *= 2;
+            }
+        }
+    }
+
+    /// Places the steady-state window of a run of `total` cycles: from
+    /// `trim` of the way in until the earlier of `1 - trim` and the cycle
+    /// the thread supply `drained` (after which residency thins out as the
+    /// final threads complete), snapped inward to recorded samples.
+    /// `None` when no two samples bound a non-empty window.
+    pub(crate) fn resolve(
+        &self,
+        total: u64,
+        trim: f64,
+        drained: Option<u64>,
+    ) -> Option<EfficiencyWindow> {
+        let lo_target = (total as f64 * trim) as u64;
+        let hi_target =
+            ((total as f64 * (1.0 - trim)) as u64).min(drained.unwrap_or(total));
+        let &(t1, b1) = self.samples.iter().find(|(c, _)| *c >= lo_target)?;
+        let &(t2, b2) = self.samples.iter().rev().find(|(c, _)| *c <= hi_target)?;
+        (t2 > t1).then_some(EfficiencyWindow { t1, b1, t2, b2 })
+    }
+
+    /// Whether sampling can make progress: a zero step would never move
+    /// past a boundary, and a cap below 2 cannot decimate.
+    pub(crate) fn is_valid(&self) -> bool {
+        self.step > 0 && self.cap >= 2
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn stats_with(total: u64, busy: u64, checkpoints: Vec<(u64, u64)>) -> SimStats {
+    /// A series sampled every 100 cycles from `busy(t)`, up to `total`.
+    fn series_of(total: u64, cap: usize, busy: impl Fn(u64) -> u64) -> BusySeries {
+        let mut series = BusySeries::new(100, cap);
+        for t in (0..=total).step_by(100) {
+            series.record(t, busy(t));
+        }
+        series
+    }
+
+    fn stats_with(total: u64, busy: u64, window: Option<EfficiencyWindow>) -> SimStats {
         SimStats {
             total_cycles: total,
             busy_cycles: busy,
             idle_cycles: total - busy,
-            checkpoints,
-            transient_trim: 0.1,
+            window,
             ..SimStats::default()
         }
     }
 
     #[test]
     fn full_efficiency() {
-        let s = stats_with(1000, 600, vec![]);
+        let s = stats_with(1000, 600, None);
         assert!((s.efficiency_full() - 0.6).abs() < 1e-12);
         assert_eq!(SimStats::default().efficiency_full(), 0.0);
     }
@@ -179,53 +245,52 @@ mod tests {
     fn windowed_efficiency_excludes_transients() {
         // Busy only between cycles 200 and 800: the middle window sees a
         // higher efficiency than the full run.
-        let checkpoints = (0..=10)
-            .map(|i| {
-                let t = i * 100;
-                let b = t.clamp(200, 800) - 200;
-                (t, b)
-            })
-            .collect();
-        let s = stats_with(1000, 600, checkpoints);
+        let series = series_of(1000, 64, |t| t.clamp(200, 800) - 200);
+        let window = series.resolve(1000, 0.1, None);
+        assert_eq!(window, Some(EfficiencyWindow { t1: 100, b1: 0, t2: 900, b2: 600 }));
+        let s = stats_with(1000, 600, window);
         assert!(s.efficiency() > s.efficiency_full());
         assert!((s.efficiency() - 600.0 / 800.0).abs() < 1e-9);
+        // The drain point pulls the window's end in.
+        let drained = series.resolve(1000, 0.1, Some(650)).unwrap();
+        assert_eq!((drained.t2, drained.b2), (600, 400));
     }
 
     #[test]
     fn degenerate_checkpoints_fall_back_to_full() {
-        let s = stats_with(1000, 600, vec![(500, 300)]);
+        let mut one = BusySeries::new(500, 64);
+        one.record(500, 300);
+        assert_eq!(one.resolve(1000, 0.1, None), None);
+        assert_eq!(BusySeries::new(100, 64).resolve(0, 0.1, None), None);
+        let s = stats_with(1000, 600, None);
         assert_eq!(s.efficiency(), s.efficiency_full());
     }
 
     #[test]
     fn decimation_keeps_even_indices() {
-        let mut cps: Vec<(u64, u64)> = (0..8).map(|i| (i * 100, i * 10)).collect();
-        decimate_checkpoints(&mut cps);
-        assert_eq!(cps, vec![(0, 0), (200, 20), (400, 40), (600, 60)]);
-        let mut one = vec![(5, 5)];
-        decimate_checkpoints(&mut one);
-        assert_eq!(one, vec![(5, 5)]);
-        let mut none: Vec<(u64, u64)> = vec![];
-        decimate_checkpoints(&mut none);
-        assert!(none.is_empty());
+        // The eighth sample fills a cap of 8: samples 1, 3, 5, 7 go and the
+        // spacing doubles from the boundary already set (900) onward.
+        let mut series = series_of(800, 8, |t| t / 10);
+        assert_eq!(series.samples, vec![(100, 10), (300, 30), (500, 50), (700, 70)]);
+        assert_eq!(series.step, 200);
+        series.record(900, 90);
+        series.record(1000, 100);
+        assert_eq!(series.samples[4..], [(900, 90)], "no boundary at 1000");
+        series.record(1100, 110);
+        assert_eq!(series.samples.last(), Some(&(1100, 110)));
     }
 
     #[test]
     fn efficiency_window_survives_decimation() {
-        // Dense checkpoints vs the same run decimated twice: the steady
-        // window efficiency stays within one checkpoint of granularity.
-        let checkpoints: Vec<(u64, u64)> = (0..=100)
-            .map(|i| {
-                let t = i * 100;
-                let b = t.clamp(2000, 8000) - 2000;
-                (t, b)
-            })
-            .collect();
-        let dense = stats_with(10_000, 6000, checkpoints.clone());
-        let mut coarse_cps = checkpoints;
-        decimate_checkpoints(&mut coarse_cps);
-        decimate_checkpoints(&mut coarse_cps);
-        let coarse = stats_with(10_000, 6000, coarse_cps);
+        // Dense samples vs the same run through a reservoir small enough to
+        // decimate twice: the steady window efficiency stays within one
+        // sample of granularity.
+        let busy = |t: u64| t.clamp(2000, 8000) - 2000;
+        let dense = series_of(10_000, 1024, busy);
+        let coarse = series_of(10_000, 32, busy);
+        assert!(coarse.step >= 400, "decimated twice: step {}", coarse.step);
+        let dense = stats_with(10_000, 6000, dense.resolve(10_000, 0.1, None));
+        let coarse = stats_with(10_000, 6000, coarse.resolve(10_000, 0.1, None));
         assert!(
             (dense.efficiency() - coarse.efficiency()).abs() < 0.06,
             "dense {} vs decimated {}",
@@ -236,7 +301,7 @@ mod tests {
 
     #[test]
     fn accounting_identity() {
-        let mut s = stats_with(100, 40, vec![]);
+        let mut s = stats_with(100, 40, None);
         s.switch_cycles = 10;
         s.idle_cycles = 50;
         assert_eq!(s.accounted_cycles(), 100);

@@ -268,9 +268,15 @@ fn structurally_inconsistent_snapshots_fail_validation() {
         assert!(matches!(Engine::restore(&stale_timer), Err(SnapshotError::Invalid(_))));
     }
 
-    let mut zero_stride = snap;
-    zero_stride.checkpoint_stride = 0;
-    assert!(matches!(Engine::restore(&zero_stride), Err(SnapshotError::Invalid(_))));
+    // The busy series is crate-private, so corrupt its sampling step on
+    // the wire: a zero step would never pass its next boundary.
+    let json = snap.to_json();
+    let series = json.find("\"series\":").expect("snapshot carries its busy series");
+    let step = series + json[series..].find("\"step\":").expect("series has a step") + 7;
+    let digits = json[step..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let zero_step = format!("{}0{}", &json[..step], &json[step + digits..]);
+    let zero_step = EngineSnapshot::from_json(&zero_step).unwrap();
+    assert!(matches!(Engine::restore(&zero_step), Err(SnapshotError::Invalid(_))));
 }
 
 fn arb_scenario() -> impl Strategy<Value = Scenario> {

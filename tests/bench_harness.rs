@@ -6,33 +6,16 @@
 //! tolerance. The failure cases doctor the baseline file instead of the
 //! binary, so one suite execution serves all three checks.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 
 use register_relocation::bench::BenchReport;
 
-/// A self-cleaning temp directory the bench runs use as cwd (BENCH_<seq>
-/// sequence files land wherever the process runs).
-struct TempDir {
-    path: PathBuf,
-}
+mod common;
+use common::TempDir;
 
-impl TempDir {
-    fn new(name: &str) -> Self {
-        let path =
-            std::env::temp_dir().join(format!("rr-bench-it-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).unwrap();
-        TempDir { path }
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.path);
-    }
-}
-
+/// `rr` run with a temp dir as cwd: BENCH_<seq> sequence files land
+/// wherever the process runs.
 fn rr_in(dir: &Path) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_rr"));
     cmd.current_dir(dir);
@@ -49,9 +32,9 @@ fn bench_records_a_baseline_then_checks_clean_and_catches_regressions() {
     let dir = TempDir::new("flow");
 
     // 1. Record: writes BENCH_1.json with the full schema.
-    let out = rr_in(&dir.path).args(bench_args()).arg("2").output().unwrap();
+    let out = rr_in(dir.path()).args(bench_args()).arg("2").output().unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let baseline_path = dir.path.join("BENCH_1.json");
+    let baseline_path = dir.join("BENCH_1.json");
     let baseline_json = std::fs::read_to_string(&baseline_path).expect("BENCH_1.json written");
     let baseline = BenchReport::from_json(&baseline_json).expect("schema round-trips");
     assert_eq!(baseline.suite, "quick");
@@ -88,7 +71,7 @@ fn bench_records_a_baseline_then_checks_clean_and_catches_regressions() {
     // 2. Check against the just-recorded baseline: cycle invariants are
     // deterministic, so with a generous wall tolerance this must pass and
     // must not write BENCH_2.json.
-    let out = rr_in(&dir.path)
+    let out = rr_in(dir.path())
         .args(bench_args())
         .args(["2", "--check", "--tolerance", "10"])
         .output()
@@ -96,7 +79,7 @@ fn bench_records_a_baseline_then_checks_clean_and_catches_regressions() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("bench check ok"), "{stdout}");
-    assert!(!dir.path.join("BENCH_2.json").exists(), "--check writes nothing");
+    assert!(!dir.join("BENCH_2.json").exists(), "--check writes nothing");
 
     // 3. Injected cycle mismatch: a baseline whose invariants disagree
     // must fail the check even with an unlimited wall tolerance.
@@ -108,9 +91,9 @@ fn bench_records_a_baseline_then_checks_clean_and_catches_regressions() {
             }
         }
     }
-    let drifted_path = dir.path.join("drifted.json");
+    let drifted_path = dir.join("drifted.json");
     std::fs::write(&drifted_path, drifted.to_json_pretty().unwrap()).unwrap();
-    let out = rr_in(&dir.path)
+    let out = rr_in(dir.path())
         .args(bench_args())
         .args(["2", "--check", "--tolerance", "1000", "--baseline", "drifted.json"])
         .output()
@@ -126,9 +109,9 @@ fn bench_records_a_baseline_then_checks_clean_and_catches_regressions() {
         case.wall_nanos_median = 1;
         case.wall_nanos_min = 1;
     }
-    let instant_path = dir.path.join("instant.json");
+    let instant_path = dir.join("instant.json");
     std::fs::write(&instant_path, instant.to_json_pretty().unwrap()).unwrap();
-    let out = rr_in(&dir.path)
+    let out = rr_in(dir.path())
         .args(bench_args())
         .args(["2", "--check", "--tolerance", "0.5", "--baseline", "instant.json"])
         .output()
@@ -144,23 +127,23 @@ fn bench_records_a_baseline_then_checks_clean_and_catches_regressions() {
 fn bench_cheap_failures_exit_before_running_the_suite() {
     let dir = TempDir::new("cheap");
     // --help short-circuits before any work.
-    let out = rr_in(&dir.path).args(["bench", "--help"]).output().unwrap();
+    let out = rr_in(dir.path()).args(["bench", "--help"]).output().unwrap();
     assert!(out.status.success());
     assert!(String::from_utf8(out.stdout).unwrap().contains("perf-regression"));
 
     // --check with no BENCH_<seq>.json anywhere fails before simulating.
-    let out = rr_in(&dir.path).args(["bench", "--quick", "--check"]).output().unwrap();
+    let out = rr_in(dir.path()).args(["bench", "--quick", "--check"]).output().unwrap();
     assert!(!out.status.success());
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("no BENCH_"), "{err}");
 
     let out =
-        rr_in(&dir.path).args(["bench", "--quick", "--iterations", "0"]).output().unwrap();
+        rr_in(dir.path()).args(["bench", "--quick", "--iterations", "0"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8(out.stderr).unwrap().contains("at least one iteration"));
 
     let out =
-        rr_in(&dir.path).args(["bench", "--quick", "--tolerance", "-1"]).output().unwrap();
+        rr_in(dir.path()).args(["bench", "--quick", "--tolerance", "-1"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8(out.stderr).unwrap().contains("tolerance"));
 }

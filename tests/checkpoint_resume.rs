@@ -8,45 +8,17 @@
 //! interrupted — while every damaged or foreign checkpoint degrades to
 //! recomputation from cycle 0, never to an error.
 
-use std::fs;
-use std::path::PathBuf;
-
 use register_relocation::cache;
-use register_relocation::experiments::{Arch, ExperimentSpec};
+use register_relocation::experiments::Arch;
 use register_relocation::store::{Lookup, PutFault};
-use register_relocation::sweep::{SweepGrid, SweepRunner};
+use register_relocation::sweep::SweepRunner;
 use rr_telemetry::{IncMetric, METRICS};
 
-/// Minimal self-cleaning temp dir (no external crate).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let mut p = std::env::temp_dir();
-        p.push(format!("rr-ckpt-it-{}-{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&p);
-        TempDir(p)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
-
-/// A 2-point Figure 5 panel with light workloads — fast, but end to end
-/// through the real engines.
-fn mini_grid(seed: u64) -> SweepGrid {
-    let mut grid = SweepGrid::figure5_panel(64, seed);
-    grid.run_lengths = vec![8.0];
-    grid.latencies = vec![50, 200];
-    grid.base = ExperimentSpec { threads: 8, work_per_thread: 2_000, ..grid.base };
-    grid
-}
+mod common;
+use common::{mini_grid, TempDir};
 
 fn checkpointed_runner(dir: &TempDir, every: u64) -> SweepRunner {
-    let store = cache::open_store(&dir.0).expect("store opens");
+    let store = cache::open_store(dir.path()).expect("store opens");
     SweepRunner::new(1)
         .with_progress(false)
         .with_store(Some(store))
@@ -77,7 +49,7 @@ fn checkpointed_sweep_is_bit_identical_to_plain_and_tidies_up() {
 
     // Finished legs removed their rolling checkpoints: only the 2 point
     // records remain, and no snapshot key resolves.
-    let store = cache::open_store(&dir.0).unwrap();
+    let store = cache::open_store(dir.path()).unwrap();
     assert_eq!(store.stats().unwrap().records, 2, "point records only, no leftovers");
     for p in grid.points() {
         for arch in [Arch::Fixed, Arch::Flexible] {
@@ -108,7 +80,7 @@ fn interrupted_point_resumes_from_its_checkpoint() {
 
     // The uninterrupted truth, computed in a separate store.
     let truth_dir = TempDir::new("resume-truth");
-    let truth_store = cache::open_store(&truth_dir.0).unwrap();
+    let truth_store = cache::open_store(truth_dir.path()).unwrap();
     let truth = SweepRunner::new(1)
         .with_progress(false)
         .with_store(Some(truth_store))
@@ -117,7 +89,7 @@ fn interrupted_point_resumes_from_its_checkpoint() {
 
     // Simulate the kill: the fixed leg of point 0 ran to a mid-run pause
     // and its snapshot reached the store; the final record never did.
-    let store = cache::open_store(&dir.0).unwrap();
+    let store = cache::open_store(dir.path()).unwrap();
     let fixed_spec = point.spec.with_arch(Arch::Fixed);
     let mut engine = fixed_spec.engine().unwrap();
     assert!(!engine.advance(3_000), "leg must not complete before the pause");
@@ -153,7 +125,7 @@ fn damaged_checkpoints_degrade_to_recompute() {
     let dir = TempDir::new("damaged");
     let grid = mini_grid(33);
     let point = &grid.points()[0];
-    let store = cache::open_store(&dir.0).unwrap();
+    let store = cache::open_store(dir.path()).unwrap();
     let fixed_spec = point.spec.with_arch(Arch::Fixed);
     let key = cache::snapshot_key(&fixed_spec, store.salt()).unwrap();
 
@@ -215,13 +187,12 @@ fn cli_flag_contract() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("needs a result store"), "{stderr}");
 
-    let scratch = std::env::temp_dir().join(format!("rr-ckpt-flag-{}", std::process::id()));
+    let scratch = TempDir::new("ckpt-flag");
     let out = std::process::Command::new(rr)
         .args(["fig5", "--checkpoint-every", "soon", "--store"])
-        .arg(&scratch)
+        .arg(scratch.path())
         .output()
         .unwrap();
-    let _ = std::fs::remove_dir_all(&scratch);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("bad checkpoint stride"), "{stderr}");

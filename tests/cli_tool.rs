@@ -1,58 +1,36 @@
 //! Integration: the `rr` toolchain binary end to end.
 
-use std::io::Write;
+use std::path::PathBuf;
 use std::process::Command;
+
+mod common;
+use common::TempDir;
 
 fn rr() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rr"))
 }
 
-fn demo_source() -> tempfile::NamedFile {
-    let mut f = tempfile::NamedFile::new("demo.s");
-    writeln!(
-        f.file,
-        "li r0, 40\n ldrrm r0\n nop\n li r5, 99\n add r6, r5, r5\n halt"
-    )
-    .unwrap();
-    f
-}
-
-/// Minimal self-cleaning temp file (no external crate).
-mod tempfile {
-    use std::fs::File;
-    use std::path::PathBuf;
-
-    pub struct NamedFile {
-        pub file: File,
-        pub path: PathBuf,
-    }
-
-    impl NamedFile {
-        pub fn new(name: &str) -> Self {
-            let mut path = std::env::temp_dir();
-            path.push(format!("rr-test-{}-{}", std::process::id(), name));
-            NamedFile { file: File::create(&path).unwrap(), path }
-        }
-    }
-
-    impl Drop for NamedFile {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_file(&self.path);
-        }
-    }
+/// The demo program, written into a temp dir that lives as long as the
+/// returned guard.
+fn demo_source() -> (TempDir, PathBuf) {
+    let dir = TempDir::new("demo");
+    let path = dir.join("demo.s");
+    std::fs::write(&path, "li r0, 40\n ldrrm r0\n nop\n li r5, 99\n add r6, r5, r5\n halt\n")
+        .unwrap();
+    (dir, path)
 }
 
 #[test]
 fn asm_then_dis_round_trips() {
-    let src = demo_source();
-    let asm = rr().arg("asm").arg(&src.path).output().unwrap();
+    let (dir, src) = demo_source();
+    let asm = rr().arg("asm").arg(&src).output().unwrap();
     assert!(asm.status.success(), "{}", String::from_utf8_lossy(&asm.stderr));
     let hex = String::from_utf8(asm.stdout).unwrap();
     assert_eq!(hex.lines().count(), 6);
 
-    let mut hexfile = tempfile::NamedFile::new("demo.hex");
-    std::io::Write::write_all(&mut hexfile.file, hex.as_bytes()).unwrap();
-    let dis = rr().arg("dis").arg(&hexfile.path).output().unwrap();
+    let hexfile = dir.join("demo.hex");
+    std::fs::write(&hexfile, hex.as_bytes()).unwrap();
+    let dis = rr().arg("dis").arg(&hexfile).output().unwrap();
     assert!(dis.status.success());
     let text = String::from_utf8(dis.stdout).unwrap();
     assert!(text.contains("ldrrm r0"));
@@ -61,8 +39,8 @@ fn asm_then_dis_round_trips() {
 
 #[test]
 fn run_executes_with_relocation() {
-    let src = demo_source();
-    let out = rr().arg("run").arg(&src.path).output().unwrap();
+    let (_dir, src) = demo_source();
+    let out = rr().arg("run").arg(&src).output().unwrap();
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("Halted"), "{text}");
@@ -72,11 +50,11 @@ fn run_executes_with_relocation() {
 
 #[test]
 fn check_reports_violations_with_nonzero_exit() {
-    let src = demo_source();
-    let ok = rr().arg("check").arg(&src.path).args(["--size", "8"]).output().unwrap();
+    let (_dir, src) = demo_source();
+    let ok = rr().arg("check").arg(&src).args(["--size", "8"]).output().unwrap();
     assert!(ok.status.success());
 
-    let bad = rr().arg("check").arg(&src.path).args(["--size", "4"]).output().unwrap();
+    let bad = rr().arg("check").arg(&src).args(["--size", "4"]).output().unwrap();
     assert!(!bad.status.success());
     let err = String::from_utf8(bad.stderr).unwrap();
     assert!(err.contains("outside the declared 4-register context"), "{err}");
@@ -84,8 +62,8 @@ fn check_reports_violations_with_nonzero_exit() {
 
 #[test]
 fn demand_reports_context_sizing() {
-    let src = demo_source();
-    let out = rr().arg("demand").arg(&src.path).output().unwrap();
+    let (_dir, src) = demo_source();
+    let out = rr().arg("demand").arg(&src).output().unwrap();
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("demand 7 registers"), "{text}");
@@ -96,7 +74,8 @@ fn demand_reports_context_sizing() {
 /// count, and the JSON report round-trips with the right shape.
 #[test]
 fn fig5_sweep_is_worker_count_invariant() {
-    let json_path = tempfile::NamedFile::new("fig5.json").path.clone();
+    let dir = TempDir::new("fig5-jobs");
+    let json_path = dir.join("fig5.json");
     let sweep = |jobs: &str, json: Option<&std::path::Path>| {
         let mut cmd = rr();
         cmd.args(["fig5", "--file", "64", "--seed", "7", "--jobs", jobs])
@@ -117,7 +96,6 @@ fn fig5_sweep_is_worker_count_invariant() {
         &std::fs::read_to_string(&json_path).unwrap(),
     )
     .unwrap();
-    let _ = std::fs::remove_file(&json_path);
     assert_eq!(report.schema_version, register_relocation::sweep::SWEEP_SCHEMA_VERSION);
     assert_eq!(report.seed, 7);
     assert_eq!(report.points.len(), 18, "3 run lengths x 6 latencies");
@@ -131,10 +109,9 @@ fn fig5_sweep_is_worker_count_invariant() {
 /// emits byte-identical output (stdout panels and the `--json` report).
 #[test]
 fn fig5_warm_cache_run_is_byte_identical() {
-    let mut store_dir = std::env::temp_dir();
-    store_dir.push(format!("rr-cli-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let json_path = tempfile::NamedFile::new("fig5-cache.json").path.clone();
+    let dir = TempDir::new("fig5-cache");
+    let store_dir = dir.join("store");
+    let json_path = dir.join("fig5-cache.json");
     let sweep = || {
         let out = rr()
             .args(["fig5", "--file", "64", "--seed", "11", "--jobs", "2"])
@@ -151,8 +128,6 @@ fn fig5_warm_cache_run_is_byte_identical() {
     };
     let (cold_out, cold_err, cold_json) = sweep();
     let (warm_out, warm_err, warm_json) = sweep();
-    let _ = std::fs::remove_file(&json_path);
-    let _ = std::fs::remove_dir_all(&store_dir);
     assert!(cold_err.contains("store 0/18 cached"), "{cold_err}");
     assert!(warm_err.contains("store 18/18 cached"), "{warm_err}");
     assert_eq!(cold_out, warm_out, "panels must not depend on cache state");
@@ -164,8 +139,9 @@ fn fig5_warm_cache_run_is_byte_identical() {
 /// schema-versioned metrics record.
 #[test]
 fn trace_subcommand_produces_summary_trace_and_metrics() {
-    let trace_path = tempfile::NamedFile::new("point.trace.json").path.clone();
-    let metrics_path = tempfile::NamedFile::new("point.metrics.json").path.clone();
+    let dir = TempDir::new("trace-point");
+    let trace_path = dir.join("point.trace.json");
+    let metrics_path = dir.join("point.metrics.json");
     let out = rr()
         .args(["trace", "fig5", "--point", "64,8,100", "--seed", "7"])
         .args(["--threads", "8", "--work", "2000", "--no-store"])
@@ -179,6 +155,7 @@ fn trace_subcommand_produces_summary_trace_and_metrics() {
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("trace: F=64 R=8 L=100"), "{text}");
     assert!(text.contains("efficiency"), "{text}");
+    assert!(text.contains("window cycles") && text.contains("window busy"), "{text}");
 
     let trace = std::fs::read_to_string(&trace_path).unwrap();
     serde_json::from_str::<serde::Value>(&trace).expect("trace parses as JSON");

@@ -9,7 +9,6 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::process::Command;
 use std::sync::mpsc;
 use std::thread::JoinHandle;
@@ -18,26 +17,8 @@ use std::time::{Duration, Instant};
 use register_relocation::serve::{run_serve, ServeOptions};
 use register_relocation::{JobJournal, JournalRecord, SweepGrid};
 
-/// Self-cleaning temp directory for the result store.
-struct TempDir {
-    path: PathBuf,
-}
-
-impl TempDir {
-    fn new(name: &str) -> TempDir {
-        let mut path = std::env::temp_dir();
-        path.push(format!("rr-serve-test-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).unwrap();
-        TempDir { path }
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.path);
-    }
-}
+mod common;
+use common::TempDir;
 
 /// A daemon running on its own thread, torn down via `PUT /shutdown`.
 struct Daemon {
@@ -62,7 +43,7 @@ impl Daemon {
             queue_capacity: 8,
             sim_jobs: 2,
             rate: None,
-            store_dir: Some(store.path.clone()),
+            store_dir: Some(store.path().to_path_buf()),
             ..ServeOptions::default()
         }
     }
@@ -158,11 +139,11 @@ fn daemon_results_match_the_cli_byte_for_byte_and_dedup() {
     assert_eq!(status, 200);
 
     // The CLI, warm on the same store, must produce the identical bytes.
-    let json_out = store.path.join("cli-report.json");
+    let json_out = store.join("cli-report.json");
     let out = Command::new(env!("CARGO_BIN_EXE_rr"))
         .args(["fig5", "--file", "64", "--seed", "7", "--threads", "8", "--work", "2000"])
         .args(["--jobs", "2", "--store"])
-        .arg(&store.path)
+        .arg(store.path())
         .arg("--json")
         .arg(&json_out)
         .output()
@@ -380,7 +361,7 @@ fn finished_tickets_expire_over_http_when_a_ttl_is_set() {
 #[test]
 fn a_journalled_daemon_readopts_accepted_jobs_across_restarts() {
     let store = TempDir::new("journal");
-    let journal_path = store.path.join("serve-journal.jsonl");
+    let journal_path = store.join("serve-journal.jsonl");
     let options = || ServeOptions {
         journal: Some(journal_path.clone()),
         ..Daemon::options(&store)
@@ -447,7 +428,7 @@ fn a_journalled_daemon_readopts_accepted_jobs_across_restarts() {
 fn observability_plane_serves_traces_prometheus_and_timelines() {
     let store = TempDir::new("obs");
     let daemon = Daemon::start(ServeOptions {
-        journal: Some(store.path.join("journal.jsonl")),
+        journal: Some(store.join("journal.jsonl")),
         ..Daemon::options(&store)
     });
 
@@ -560,13 +541,13 @@ fn observability_plane_serves_traces_prometheus_and_timelines() {
 #[test]
 fn the_binary_daemon_traces_job_logs_flushes_metrics_and_feeds_rr_top() {
     let store = TempDir::new("binary-obs");
-    let metrics_path = store.path.join("metrics.json");
-    let log_path = store.path.join("serve.log");
+    let metrics_path = store.join("metrics.json");
+    let log_path = store.join("serve.log");
     let log_file = std::fs::File::create(&log_path).unwrap();
     let mut child = Command::new(env!("CARGO_BIN_EXE_rr"))
         .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
         .args(["--sim-jobs", "2", "--no-rate", "--store"])
-        .arg(&store.path)
+        .arg(store.path())
         .args(["--log-level", "debug", "--metrics-out"])
         .arg(&metrics_path)
         .stdout(std::process::Stdio::null())

@@ -14,47 +14,20 @@ use proptest::prelude::*;
 use register_relocation::cache;
 use register_relocation::experiments::ExperimentSpec;
 use register_relocation::store::Lookup;
-use register_relocation::sweep::{
-    PointReport, SweepGrid, SweepRunner, SWEEP_SCHEMA_VERSION,
-};
+use register_relocation::sweep::{PointReport, SweepRunner, SWEEP_SCHEMA_VERSION};
 
-/// Minimal self-cleaning temp dir (no external crate).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let mut p = std::env::temp_dir();
-        p.push(format!("rr-store-it-{}-{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&p);
-        TempDir(p)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
-
-/// A 2-point Figure 5 panel with light workloads — fast, but end to end
-/// through the real engines.
-fn mini_grid(seed: u64) -> SweepGrid {
-    let mut grid = SweepGrid::figure5_panel(64, seed);
-    grid.run_lengths = vec![8.0];
-    grid.latencies = vec![50, 200];
-    grid.base = ExperimentSpec { threads: 8, work_per_thread: 2_000, ..grid.base };
-    grid
-}
+mod common;
+use common::{mini_grid, TempDir};
 
 fn runner(dir: &TempDir) -> SweepRunner {
-    let store = cache::open_store(&dir.0).expect("store opens");
+    let store = cache::open_store(dir.path()).expect("store opens");
     SweepRunner::new(2).with_progress(false).with_store(Some(store))
 }
 
 /// Every committed record file under the store's objects/ tree.
 fn record_paths(dir: &TempDir) -> Vec<PathBuf> {
     let mut out = Vec::new();
-    for shard in fs::read_dir(dir.0.join("objects")).unwrap() {
+    for shard in fs::read_dir(dir.join("objects")).unwrap() {
         let shard = shard.unwrap().path();
         if !shard.is_dir() {
             continue;
@@ -98,6 +71,32 @@ fn warm_run_is_byte_identical_to_cold() {
     }
 }
 
+/// A stored point carries each leg's counters and resolved efficiency
+/// window, never a per-cycle series: a quick Figure 5 point stays under
+/// 4 KiB, so a series cannot creep back into the wire format unnoticed.
+#[test]
+fn stored_point_records_stay_small() {
+    let dir = TempDir::new("size");
+    let grid = mini_grid(23);
+    runner(&dir).run(&grid).unwrap();
+
+    let store = cache::open_store(dir.path()).unwrap();
+    for p in grid.points() {
+        let key = cache::point_key(&p.spec, store.salt()).unwrap();
+        let Lookup::Hit(bytes) = store.get(&key).unwrap() else {
+            panic!("cold run must have stored point {}", p.index);
+        };
+        assert!(
+            bytes.len() < 4096,
+            "point F={} R={} L={} stored {} bytes",
+            p.file_size,
+            p.run_length,
+            p.latency,
+            bytes.len()
+        );
+    }
+}
+
 /// The stored record IS what a warm run returns: plant a marker in a
 /// stored payload and watch it come back, proving no engine ran.
 #[test]
@@ -106,7 +105,7 @@ fn warm_run_serves_stored_bytes_not_recomputation() {
     let grid = mini_grid(22);
     runner(&dir).run(&grid).unwrap();
 
-    let store = cache::open_store(&dir.0).unwrap();
+    let store = cache::open_store(dir.path()).unwrap();
     let key = cache::point_key(&grid.points()[0].spec, store.salt()).unwrap();
     let Lookup::Hit(bytes) = store.get(&key).unwrap() else {
         panic!("cold run must have stored point 0");
@@ -141,7 +140,7 @@ fn corrupt_record_quarantines_and_recomputes() {
         (1, 1, 1, 1),
         "one hit, one quarantine-then-recompute"
     );
-    let store = cache::open_store(&dir.0).unwrap();
+    let store = cache::open_store(dir.path()).unwrap();
     assert_eq!(store.stats().unwrap().quarantined, 1, "damaged file moved aside");
 
     // The recomputed science is identical to the cold run's (only the
@@ -171,7 +170,7 @@ fn foreign_schema_payload_is_recomputed_not_served() {
     let grid = mini_grid(24);
     runner(&dir).run(&grid).unwrap();
 
-    let store = cache::open_store(&dir.0).unwrap();
+    let store = cache::open_store(dir.path()).unwrap();
     let key = cache::point_key(&grid.points()[1].spec, store.salt()).unwrap();
     let Lookup::Hit(bytes) = store.get(&key).unwrap() else { panic!("stored") };
     let mut point: PointReport =
@@ -220,7 +219,7 @@ fn trace_records_coexist_with_point_records() {
     let grid = mini_grid(26);
     runner(&dir).run(&grid).unwrap();
 
-    let store = cache::open_store(&dir.0).unwrap();
+    let store = cache::open_store(dir.path()).unwrap();
     let spec = grid.points()[0].spec;
     let traced = TracedPoint::run(&spec).unwrap();
     let record = persist_trace_metrics(&store, &traced).unwrap();
@@ -260,7 +259,7 @@ fn injected_enospc_on_put_degrades_to_recompute() {
     let grid = mini_grid(27);
 
     // One worker so exactly the first point's persist hits the fault.
-    let store = cache::open_store(&dir.0).unwrap();
+    let store = cache::open_store(dir.path()).unwrap();
     let faulted = SweepRunner::new(1).with_progress(false).with_store(Some(store));
     faulted.store().unwrap().inject_put_fault(PutFault::Enospc);
     let cold = faulted.run(&grid).unwrap();
@@ -305,7 +304,7 @@ fn injected_short_write_is_quarantined_on_read_not_served() {
     let dir = TempDir::new("shortwrite");
     let grid = mini_grid(28);
 
-    let store = cache::open_store(&dir.0).unwrap();
+    let store = cache::open_store(dir.path()).unwrap();
     let cold_runner = SweepRunner::new(1).with_progress(false).with_store(Some(store));
     cold_runner.store().unwrap().inject_put_fault(PutFault::ShortWrite);
     let cold = cold_runner.run(&grid).unwrap();
@@ -319,7 +318,7 @@ fn injected_short_write_is_quarantined_on_read_not_served() {
         (1, 1, 1, 1),
         "torn record quarantined and recomputed, intact record served"
     );
-    let store = cache::open_store(&dir.0).unwrap();
+    let store = cache::open_store(dir.path()).unwrap();
     assert_eq!(store.stats().unwrap().quarantined, 1, "damage moved aside, not deleted");
 
     // The recomputed science equals a storeless run — nothing torn leaked

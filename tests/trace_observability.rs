@@ -21,6 +21,9 @@ use register_relocation::sim::{EventAccountant, MetricsReport};
 use register_relocation::store::sha256;
 use register_relocation::trace::TracedPoint;
 
+mod common;
+use common::TempDir;
+
 /// SHA-256 of `rr fig5 --file 64 --seed 7 --jobs 2 --threads 8 --work 2000`
 /// stdout, captured before the event-tracing layers existed. The default
 /// sink must keep this unchanged forever (or the change is a physics
@@ -29,9 +32,12 @@ const GOLDEN_FIG5_SMALL_STDOUT: &str =
     "4b8e97437bd49847703682cbf4411e4caf97e99d7583f4b2bad31b82fbae687c";
 
 /// SHA-256 of the same sweep's `--json` report with the host-timing lines
-/// (`*wall_nanos`) dropped — every simulated byte of the report.
+/// (`*wall_nanos`) dropped — every simulated byte of the report. Re-pinned
+/// when the report's `SimStats` traded the checkpoint series and completion
+/// list for the resolved efficiency window (sweep schema 3); the stdout
+/// golden above, and every `figure` entry, held across that change.
 const GOLDEN_FIG5_SMALL_JSON: &str =
-    "05e6f6311cb80bc96404ec7d09db99bfcd5b3463c58e07385c6e153f4b47beab";
+    "730e12dea5da9930a6745c407224459db4b64c2c39a43325b0cd6896ea0b5b8f";
 
 fn sha256_hex(bytes: &[u8]) -> String {
     let mut h = sha256::Sha256::new();
@@ -64,8 +70,8 @@ fn quick_spec(seed: u64, fault: FaultKind, run_length: f64) -> ExperimentSpec {
 
 #[test]
 fn default_sink_sweep_matches_the_pre_tracing_golden() {
-    let mut json_path = std::env::temp_dir();
-    json_path.push(format!("rr-golden-{}.json", std::process::id()));
+    let dir = TempDir::new("golden");
+    let json_path = dir.join("fig5.json");
     let out = Command::new(env!("CARGO_BIN_EXE_rr"))
         .args(["fig5", "--file", "64", "--seed", "7", "--jobs", "2"])
         .args(["--threads", "8", "--work", "2000", "--no-store"])
@@ -75,7 +81,6 @@ fn default_sink_sweep_matches_the_pre_tracing_golden() {
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let json = std::fs::read_to_string(&json_path).unwrap();
-    let _ = std::fs::remove_file(&json_path);
     assert_eq!(
         sha256_hex(&out.stdout),
         GOLDEN_FIG5_SMALL_STDOUT,
@@ -94,9 +99,9 @@ fn default_sink_sweep_matches_the_pre_tracing_golden() {
 /// telemetry writes to stderr and side files only, never into the science.
 #[test]
 fn golden_survives_logger_and_metrics_instrumentation() {
-    let tmp = std::env::temp_dir();
-    let json_path = tmp.join(format!("rr-golden-telemetry-{}.json", std::process::id()));
-    let metrics_path = tmp.join(format!("rr-golden-metrics-{}.json", std::process::id()));
+    let dir = TempDir::new("golden-telemetry");
+    let json_path = dir.join("fig5.json");
+    let metrics_path = dir.join("metrics.json");
     let out = Command::new(env!("CARGO_BIN_EXE_rr"))
         .args(["fig5", "--file", "64", "--seed", "7", "--jobs", "2"])
         .args(["--threads", "8", "--work", "2000", "--no-store"])
@@ -110,8 +115,6 @@ fn golden_survives_logger_and_metrics_instrumentation() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let json = std::fs::read_to_string(&json_path).unwrap();
     let metrics = std::fs::read_to_string(&metrics_path).unwrap();
-    let _ = std::fs::remove_file(&json_path);
-    let _ = std::fs::remove_file(&metrics_path);
 
     assert_eq!(
         sha256_hex(&out.stdout),
